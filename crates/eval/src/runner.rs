@@ -737,7 +737,7 @@ fn slot_is_occupied<T>(slot: &Slot<T>) -> bool {
 }
 
 /// The distinct specs of `specs` whose artifact is not yet cached, in
-/// first-appearance order, paired with an error slot for the fan-out.
+/// first-appearance order.
 ///
 /// A key counts as cached only if its slot is occupied (see
 /// [`slot_is_occupied`]) — a slot left empty by an earlier failed run goes
@@ -746,7 +746,7 @@ fn pending_specs<K: Ord + Copy, T>(
     map: &Mutex<BTreeMap<K, Slot<T>>>,
     specs: &[ScenarioSpec],
     key_of: impl Fn(&ScenarioSpec) -> K,
-) -> Vec<(ScenarioSpec, Option<EvalError>)> {
+) -> Vec<ScenarioSpec> {
     let cached = map.lock().unwrap_or_else(PoisonError::into_inner);
     let mut seen = BTreeSet::new();
     let mut pending = Vec::new();
@@ -754,17 +754,58 @@ fn pending_specs<K: Ord + Copy, T>(
         let key = key_of(spec);
         let is_cached = cached.get(&key).is_some_and(slot_is_occupied);
         if !is_cached && seen.insert(key) {
-            pending.push((*spec, None));
+            pending.push(*spec);
         }
     }
     pending
 }
 
+/// The executor's one fan-out loop: runs `job` for every item across the
+/// worker team and returns the results in input order, or the first error
+/// in input order (independent of which worker hit it first). Every job
+/// runs even if an earlier one fails.
+///
+/// When the items do fan out, each job is wrapped in
+/// [`parallel::serialized`], so a fan-out nested inside it runs inline
+/// instead of multiplying the thread count to workers².
+fn fan_out<I: Sync, R: Send>(
+    items: &[I],
+    what: &str,
+    job: impl Fn(&I) -> Result<R, EvalError> + Sync,
+) -> Result<Vec<R>, EvalError> {
+    let spread = items.len() > 1 && parallel::worker_count() > 1;
+    if spread {
+        eprintln!(
+            "[sweep] running {} {what} across {} workers",
+            items.len(),
+            parallel::worker_count().min(items.len())
+        );
+    }
+    let mut slots: Vec<(&I, Option<Result<R, EvalError>>)> =
+        items.iter().map(|item| (item, None)).collect();
+    parallel::for_each_chunk(&mut slots, 1, |_, chunk| {
+        for (item, slot) in chunk {
+            *slot = Some(if spread {
+                parallel::serialized(|| job(item))
+            } else {
+                job(item)
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|(_, slot)| {
+            slot.unwrap_or(Err(EvalError::Internal {
+                message: "fan-out left a slot unfilled",
+            }))
+        })
+        .collect()
+}
+
 /// The shared fan-out phase of [`ScenarioCache::train_all`] /
 /// [`ScenarioCache::trio_all`]: runs `execute` for every not-yet-cached
-/// distinct spec across the worker team (each worker's cell wrapped in
-/// [`parallel::serialized`] so the kernels underneath don't multiply the
-/// thread count to workers²) and returns the first error in spec order.
+/// distinct spec across the worker team and returns the first error in
+/// spec order.
 fn sweep_pending<K: Ord + Copy, T>(
     map: &Mutex<BTreeMap<K, Slot<T>>>,
     specs: &[ScenarioSpec],
@@ -772,35 +813,8 @@ fn sweep_pending<K: Ord + Copy, T>(
     key_of: impl Fn(&ScenarioSpec) -> K,
     execute: impl Fn(&ScenarioSpec) -> Result<(), EvalError> + Sync,
 ) -> Result<(), EvalError> {
-    let mut pending = pending_specs(map, specs, key_of);
-    let fan_out = pending.len() > 1 && parallel::worker_count() > 1;
-    if fan_out {
-        eprintln!(
-            "[sweep] running {} {what} across {} workers",
-            pending.len(),
-            parallel::worker_count().min(pending.len())
-        );
-    }
-    parallel::for_each_chunk(&mut pending, 1, |_, chunk| {
-        for (spec, err) in chunk {
-            let executed = if fan_out {
-                parallel::serialized(|| execute(spec))
-            } else {
-                execute(spec)
-            };
-            if let Err(e) = executed {
-                *err = Some(e);
-            }
-        }
-    });
-    // First error in deterministic (input) order, independent of which
-    // worker hit it first.
-    for (_, err) in &mut pending {
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-    }
-    Ok(())
+    let pending = pending_specs(map, specs, key_of);
+    fan_out(&pending, what, execute).map(drop)
 }
 
 /// Seed-keyed, thread-safe cache of trained experiment artifacts.
@@ -956,13 +970,13 @@ impl ScenarioCache {
     /// fig6–8 defense sweeps.
     ///
     /// Cells are pre-warmed through [`train_all`] first (training misses
-    /// fan out exactly as there), then the audits themselves fan out:
-    /// distinct cells hold distinct locks, so the worker team audits them
-    /// concurrently, each audit wrapped in [`parallel::serialized`] like a
-    /// training cell. Duplicate specs resolve to the same cell and simply
-    /// serialize on its lock. Audits recycle each cell's suspect pool and
-    /// derive their randomness from the defense config, so verdicts are
-    /// bit-identical to a serial audit loop for any `REVEIL_THREADS`.
+    /// fan out exactly as there), then the audits themselves fan out
+    /// through the same loop: distinct cells hold distinct locks, so the
+    /// worker team audits them concurrently. Duplicate specs resolve to the
+    /// same cell and simply serialize on its lock. Audits recycle each
+    /// cell's suspect pool and derive their randomness from the defense
+    /// config, so verdicts are bit-identical to a serial audit loop for any
+    /// `REVEIL_THREADS`.
     ///
     /// [`train_all`]: ScenarioCache::train_all
     ///
@@ -977,45 +991,19 @@ impl ScenarioCache {
         budget: usize,
     ) -> Result<Vec<DefenseVerdict>, EvalError> {
         let cells = self.train_all(specs)?;
-        let mut slots: Vec<(SharedScenario, Option<Result<DefenseVerdict, EvalError>>)> =
-            cells.into_iter().map(|cell| (cell, None)).collect();
-        let fan_out = slots.len() > 1 && parallel::worker_count() > 1;
-        if fan_out {
-            eprintln!(
-                "[sweep] running {} audits across {} workers",
-                slots.len(),
-                parallel::worker_count().min(slots.len())
-            );
-        }
-        parallel::for_each_chunk(&mut slots, 1, |_, chunk| {
-            for (cell, slot) in chunk {
-                let audit = || lock_scenario(cell).audit(defense, budget);
-                *slot = Some(if fan_out {
-                    parallel::serialized(audit)
-                } else {
-                    audit()
-                });
-            }
+        let verdicts = fan_out(&cells, "audits", |cell| {
+            lock_scenario(cell).audit(defense, budget)
         });
         // The grid is done: park the cells and the auditor. Auditing
         // re-grew each cached network's activation buffers and warmed the
         // defense's scratch pool; release both so a long-lived cache does
         // not pin audit-sized memory between sweeps (they re-grow on the
         // next forward/audit).
-        for (cell, _) in &slots {
+        for cell in &cells {
             lock_scenario(cell).network.release_buffers();
         }
         defense.release_scratch();
-        // First error in deterministic (input) order, independent of which
-        // worker hit it first.
-        slots
-            .into_iter()
-            .map(|(_, slot)| {
-                slot.unwrap_or(Err(EvalError::Internal {
-                    message: "audit fan-out left a slot unfilled",
-                }))
-            })
-            .collect()
+        verdicts
     }
 
     /// Number of monolithic cells trained by this cache (cache misses).

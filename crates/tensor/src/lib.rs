@@ -17,8 +17,8 @@
 //!   ([`dct`]),
 //! * deterministic, stream-splittable random number helpers including a
 //!   Box–Muller Gaussian ([`rng`]), and
-//! * a tiny fork–join helper sized for small containers ([`parallel`];
-//!   worker count overridable via `REVEIL_THREADS`).
+//! * a tiny fork–join helper for the experiment-cell sweep executor
+//!   ([`parallel`]; worker count overridable via `REVEIL_THREADS`).
 //!
 //! # Example
 //!

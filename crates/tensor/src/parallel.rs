@@ -1,10 +1,11 @@
-//! Minimal fork–join helpers sized for small evaluation containers.
+//! Minimal fork–join helper for the experiment-cell sweep executor.
 //!
-//! The heavy loops in this workspace (matmul row panels, batched
-//! convolution lowering, per-shard SISA training) are embarrassingly
-//! parallel over an outer index. [`for_each_chunk`] splits such a loop over
-//! a small number of OS threads using `std::thread::scope`, so no
-//! dependency beyond `std` is needed and no thread pool outlives the call.
+//! [`for_each_chunk`] splits a loop over an outer index across a small
+//! number of OS threads using `std::thread::scope`, so no dependency beyond
+//! `std` is needed and no thread pool outlives the call. The workspace
+//! parallelizes at one level only: `reveil_eval`'s sweep executor fans
+//! independent experiment cells (trainings, audits) out across workers.
+//! The kernels underneath (GEMM, im2col, optimizer updates) are serial.
 //!
 //! The worker count defaults to the machine parallelism capped at 4 and can
 //! be overridden with the `REVEIL_THREADS` environment variable (clamped to
@@ -12,11 +13,11 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 thread_local! {
     /// Set while [`serialized`] runs: [`worker_count`] reports 1 on this
-    /// thread, so nested kernel calls never fork their own teams.
+    /// thread, so a nested fan-out never forks its own team.
     static SERIALIZED: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -38,14 +39,13 @@ pub fn worker_count() -> usize {
 }
 
 /// Runs `f` with parallelism disabled on the calling thread: every
-/// [`worker_count`]-sized fork inside `f` (GEMM row bands, im2col chunking,
-/// [`join`]) runs inline instead of spawning a team.
+/// [`worker_count`]-sized fork inside `f` (such as a nested sweep) runs
+/// inline instead of spawning a team.
 ///
-/// This is how a *coarser* parallel layer keeps the machine from
-/// oversubscribing: when work items (e.g. independent experiment cells)
-/// are already fanned out one-per-worker, each worker wraps its item in
-/// `serialized` so the kernels underneath don't multiply the thread count
-/// to `workers²`. Results are unaffected — every kernel in this crate is
+/// When work items (e.g. independent experiment cells) are already fanned
+/// out one-per-worker, each worker wraps its item in `serialized` so a
+/// fan-out nested inside the item does not multiply the thread count to
+/// `workers²`. Results are unaffected: every work item in this workspace is
 /// bit-identical across worker counts by design.
 ///
 /// The flag is restored when `f` returns or panics (nesting is safe).
@@ -74,8 +74,9 @@ fn resolve_worker_count(env_value: Option<&str>) -> usize {
         .min(4)
 }
 
-/// Runs `f(start, chunk)` over disjoint mutable chunks of `data`, in
-/// parallel when the input is large enough to amortise thread spawn cost.
+/// Runs `f(start, chunk)` over disjoint mutable chunks of `data`, spread
+/// across up to [`worker_count`] scoped threads when there is more than one
+/// chunk (inline otherwise).
 ///
 /// `chunk_len` is the number of elements each call receives (the final chunk
 /// may be shorter). `f` is given the starting element index of its chunk so
@@ -119,8 +120,8 @@ where
         .enumerate()
         .map(|(i, c)| (i * chunk_len, c))
         .collect();
-    // Hand ownership of each chunk cell to exactly one thread via indexed
-    // claim; Mutex-free because claims are unique.
+    // Hand ownership of each chunk to exactly one thread: the counter gives
+    // out every index once, so each cell's lock is taken once, uncontended.
     let cells: Vec<ChunkCell<'_, T>> = chunks
         .into_iter()
         .map(|c| std::sync::Mutex::new(Some(c)))
@@ -140,150 +141,6 @@ where
             });
         }
     });
-}
-
-/// Handle to a fixed team of band workers spawned by [`scoped_bands`].
-///
-/// Workers use [`Team::sync`] as a phase barrier: every member must call it
-/// the same number of times, so data one phase writes (e.g. a shared packed
-/// operand panel) is visible — and no longer mutated — before the next
-/// phase reads it.
-///
-/// Unlike [`std::sync::Barrier`], the barrier is *poisonable*: if a team
-/// member panics, [`scoped_bands`] poisons the barrier before re-raising,
-/// which wakes every member still waiting in `sync` and panics them too.
-/// Without this, a single worker panic would leave its teammates blocked
-/// forever on a barrier that can never fill — a silent hang instead of a
-/// crash with the original panic message.
-pub struct Team {
-    size: usize,
-    state: Mutex<TeamBarrier>,
-    cvar: Condvar,
-}
-
-#[derive(Default)]
-struct TeamBarrier {
-    /// Members currently waiting in this phase.
-    waiting: usize,
-    /// Completed phase count; bumping it releases the waiters.
-    generation: usize,
-    /// Set when a member panicked: the team can never fill again.
-    poisoned: bool,
-}
-
-impl Team {
-    fn new(size: usize) -> Self {
-        Self {
-            size,
-            state: Mutex::new(TeamBarrier::default()),
-            cvar: Condvar::new(),
-        }
-    }
-
-    /// Number of workers in the team (equals the number of bands).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Blocks until every team member has called `sync` for this phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a teammate panicked (the barrier would otherwise never
-    /// fill); the teammate's own unwind carries the original message.
-    pub fn sync(&self) {
-        let mut state = self.state.lock().expect("team barrier lock poisoned");
-        assert!(!state.poisoned, "a team worker panicked; abandoning sync");
-        state.waiting += 1;
-        if state.waiting == self.size {
-            state.waiting = 0;
-            state.generation += 1;
-            self.cvar.notify_all();
-            return;
-        }
-        let generation = state.generation;
-        while state.generation == generation && !state.poisoned {
-            state = self.cvar.wait(state).expect("team barrier lock poisoned");
-        }
-        assert!(!state.poisoned, "a team worker panicked; abandoning sync");
-    }
-
-    /// Marks the team as dead and wakes every waiter (see [`Team::sync`]).
-    fn poison(&self) {
-        let mut state = self.state.lock().expect("team barrier lock poisoned");
-        state.poisoned = true;
-        self.cvar.notify_all();
-    }
-}
-
-/// Splits `data` into fixed-length bands and runs one scoped worker per
-/// band, handing every worker the same shared read-only context.
-///
-/// `f(team, worker, start, band, shared)` receives the team handle (for
-/// barrier phases), the worker id (== band index), the starting element
-/// index of its band, the band itself, and `shared`. Unlike
-/// [`for_each_chunk`] there is no work stealing: each worker owns exactly
-/// one band for the whole call, which lets callers coordinate multi-phase
-/// protocols (cooperatively pack a shared buffer, `sync`, then consume it).
-///
-/// Callers size `band_len` so the band count does not exceed the intended
-/// worker count — one thread is spawned per band. With a single band (or
-/// empty `data`) the closure runs inline on the calling thread.
-pub fn scoped_bands<T, S, F>(data: &mut [T], band_len: usize, shared: &S, f: F)
-where
-    T: Send,
-    S: Sync + ?Sized,
-    F: Fn(&Team, usize, usize, &mut [T], &S) + Sync,
-{
-    let band_len = band_len.max(1);
-    let n_bands = data.len().div_ceil(band_len);
-    let team = Team::new(n_bands.max(1));
-    if n_bands <= 1 {
-        if !data.is_empty() {
-            f(&team, 0, 0, data, shared);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (w, band) in data.chunks_mut(band_len).enumerate() {
-            let team = &team;
-            let f = &f;
-            scope.spawn(move || {
-                // Poison the team barrier before re-raising so teammates
-                // blocked in sync() wake and panic instead of waiting on a
-                // barrier that can never fill.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    f(team, w, w * band_len, band, shared)
-                }));
-                if let Err(payload) = result {
-                    team.poison();
-                    std::panic::resume_unwind(payload);
-                }
-            });
-        }
-    });
-}
-
-/// Runs two closures on separate threads and returns both results.
-///
-/// Useful for forking independent halves of a computation (e.g. the two
-/// matmuls of a backward pass) on the 2-core container.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if worker_count() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(a);
-        let rb = b();
-        let ra = handle.join().expect("parallel::join worker panicked");
-        (ra, rb)
-    })
 }
 
 #[cfg(test)]
@@ -347,73 +204,6 @@ mod tests {
             chunk[0] = 9;
         });
         assert_eq!(single, vec![9]);
-    }
-
-    #[test]
-    fn scoped_bands_covers_every_element_with_shared_context() {
-        let mut v = vec![0u32; 37];
-        let shared = 5u32;
-        scoped_bands(&mut v, 10, &shared, |team, w, start, band, &s| {
-            assert_eq!(team.size(), 4);
-            assert_eq!(start, w * 10);
-            for x in band.iter_mut() {
-                *x = s;
-            }
-        });
-        assert!(v.iter().all(|&x| x == 5));
-    }
-
-    #[test]
-    fn scoped_bands_single_band_runs_inline() {
-        let mut v = vec![0u8; 3];
-        scoped_bands(&mut v, 8, &(), |team, w, start, band, ()| {
-            assert_eq!((team.size(), w, start), (1, 0, 0));
-            band.fill(1);
-        });
-        assert_eq!(v, vec![1, 1, 1]);
-        let mut empty: Vec<u8> = vec![];
-        scoped_bands(&mut empty, 8, &(), |_, _, _, _, ()| panic!("must not run"));
-    }
-
-    #[test]
-    fn scoped_bands_sync_orders_phases() {
-        // Phase 1: each worker writes its own slot of the shared scratch.
-        // Phase 2: each worker reads every slot. Without the barrier this
-        // would race; with it, every read observes every write.
-        use std::sync::atomic::AtomicU32;
-        let slots: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
-        let mut v = vec![0u32; 4];
-        scoped_bands(&mut v, 1, &slots, |team, w, _, band, slots| {
-            slots[w].store(w as u32 + 1, Ordering::Release);
-            team.sync();
-            band[0] = (0..team.size())
-                .map(|i| slots[i].load(Ordering::Acquire))
-                .sum();
-        });
-        assert_eq!(v, vec![10, 10, 10, 10]);
-    }
-
-    #[test]
-    fn scoped_bands_worker_panic_propagates_instead_of_deadlocking() {
-        // One worker dies before the barrier: the rest must be woken and
-        // the panic must reach the caller (previously this hung forever).
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut v = vec![0u8; 4];
-            scoped_bands(&mut v, 1, &(), |team, w, _, _, ()| {
-                if w == 2 {
-                    panic!("worker 2 died");
-                }
-                team.sync();
-            });
-        }));
-        assert!(result.is_err(), "panic must propagate out of scoped_bands");
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
     }
 
     #[test]
