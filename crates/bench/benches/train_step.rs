@@ -17,7 +17,7 @@ use std::hint::black_box;
 use reveil_nn::loss::softmax_cross_entropy;
 use reveil_nn::optim::{Adam, Optimizer};
 use reveil_nn::train::TrainStep;
-use reveil_nn::{models, Mode, Network};
+use reveil_nn::{models, Grads, Mode, Network};
 use reveil_tensor::{rng, Tensor};
 
 /// Counts heap allocations (`alloc` + `realloc`) so the benches can report
@@ -107,7 +107,7 @@ fn alloc_step(net: &mut Network, opt: &mut dyn Optimizer, batch: &Tensor, labels
     let logits = net.forward(batch, Mode::Train);
     let (loss, grad) = softmax_cross_entropy(&logits, labels).unwrap_or_else(|e| panic!("{e}"));
     net.zero_grads();
-    net.backward_to_input(&grad);
+    net.backward(&grad, Grads::ParamsOnly);
     opt.step(net);
     loss
 }

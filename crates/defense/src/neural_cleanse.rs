@@ -1,7 +1,7 @@
 //! Neural Cleanse: trigger reverse-engineering (Wang et al., S&P 2019).
 
 use reveil_nn::loss::softmax_cross_entropy_into;
-use reveil_nn::Network;
+use reveil_nn::{Grads, Network};
 use reveil_tensor::{rng, Tensor};
 
 use crate::audit::{AuditInputs, Defense, DefenseVerdict};
@@ -293,8 +293,9 @@ fn reverse_engineer_with(
         let loss = softmax_cross_entropy_into(logits, labels, grad_logits)
             .map_err(|e| DefenseError::internal("Neural Cleanse", e))?;
         final_loss = loss;
-        network.zero_grads();
-        network.backward_to_input_into(grad_logits, grad_input);
+        // Only the input gradient is read; the parameter gradients are
+        // neither computed nor touched.
+        network.backward_into(grad_logits, Grads::InputOnly, grad_input);
 
         // Chain rule into mask and pattern space.
         grad_mask.clear();

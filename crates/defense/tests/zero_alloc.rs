@@ -11,22 +11,23 @@
 //!   reference wrappers, on both cold and warmed scratch, and
 //! * capacity stability: repeat audits grow no pooled buffer, and
 //!   `release_scratch` drops everything without changing verdicts
-//!   (mirroring `crates/nn/tests/zero_alloc.rs`).
+//!   (mirroring `crates/nn/tests/zero_alloc.rs`), and
+//! * that every audit, including Neural Cleanse with its input-only
+//!   backward passes, leaves the network's parameter gradients bit for
+//!   bit unchanged.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use reveil_datasets::LabeledDataset;
+mod common;
+
+use common::{beatrix_config, fixture, nc_config, strip_config};
 use reveil_defense::{
     beatrix, beatrix_with, neural_cleanse, neural_cleanse_with, strip, strip_with, AuditInputs,
-    BeatrixAuditor, BeatrixConfig, BeatrixScratch, CleanseScratch, Defense, NeuralCleanseAuditor,
-    NeuralCleanseConfig, StripAuditor, StripConfig, StripScratch,
+    BeatrixAuditor, BeatrixScratch, CleanseScratch, Defense, NeuralCleanseAuditor, StripAuditor,
+    StripScratch,
 };
-use reveil_nn::models;
-use reveil_nn::train::{TrainConfig, Trainer};
-use reveil_nn::Network;
-use reveil_tensor::{rng, Tensor};
 
 struct CountingAllocator;
 
@@ -61,65 +62,6 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn toy_dataset(n: usize, seed: u64) -> LabeledDataset {
-    let mut r = rng::rng_from_seed(seed);
-    let mut ds = LabeledDataset::new("toy", 2);
-    for i in 0..n {
-        let class = i % 2;
-        let level = 0.2 + 0.6 * class as f32;
-        let mut img = Tensor::full(&[1, 8, 8], level);
-        rng::fill_gaussian(&mut img, level, 0.05, &mut r);
-        img.clamp_inplace(0.0, 1.0);
-        ds.push(img, class).unwrap();
-    }
-    ds
-}
-
-fn stamp(img: &Tensor) -> Tensor {
-    let mut out = img.clone();
-    for (y, x, v) in [(0, 0, 1.0), (0, 1, 0.0), (1, 0, 0.0), (1, 1, 1.0)] {
-        out.set(&[0, y, x], v);
-    }
-    out
-}
-
-/// A trained suspect model plus the audit evidence every detector reads.
-fn fixture() -> (LabeledDataset, Vec<Tensor>, Network) {
-    let data = toy_dataset(40, 1);
-    let mut net = models::tiny_cnn(1, 8, 8, 2, 8, 3);
-    Trainer::new(TrainConfig::new(6, 16, 5e-3).with_seed(4)).fit(
-        &mut net,
-        data.images(),
-        data.labels(),
-    );
-    let suspects: Vec<Tensor> = data.images().iter().take(10).map(stamp).collect();
-    (data, suspects, net)
-}
-
-fn strip_config() -> StripConfig {
-    StripConfig {
-        num_overlays: 6,
-        seed: 9,
-        ..StripConfig::default()
-    }
-}
-
-fn nc_config() -> NeuralCleanseConfig {
-    NeuralCleanseConfig {
-        steps: 8,
-        sample_count: 6,
-        seed: 9,
-        ..NeuralCleanseConfig::default()
-    }
-}
-
-fn beatrix_config() -> BeatrixConfig {
-    BeatrixConfig {
-        orders: vec![1, 2],
-        samples_per_class: 10,
-    }
-}
-
 #[test]
 fn warmed_up_audits_perform_zero_heap_allocations() {
     let _serial = serial();
@@ -140,6 +82,10 @@ fn warmed_up_audits_perform_zero_heap_allocations() {
         for _ in 0..2 {
             auditor.audit(&mut net, &inputs).expect("warm-up audit");
         }
+        // A sentinel no backward pass writes: audits read the network, and
+        // Neural Cleanse's backward passes are input-only.
+        net.visit_params(&mut |p| p.grad_mut().data_mut().fill(-7.25));
+        let sentinel = grad_bits(&mut net);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for _ in 0..3 {
             auditor.audit(&mut net, &inputs).expect("audit");
@@ -150,7 +96,18 @@ fn warmed_up_audits_perform_zero_heap_allocations() {
             "{name}: a warmed-up audit must perform zero heap \
              allocations, counted {allocs} across 3 audits"
         );
+        assert!(
+            grad_bits(&mut net) == sentinel,
+            "{name}: an audit must leave the parameter gradients untouched"
+        );
     }
+}
+
+/// Bit patterns of every parameter gradient, in visit order.
+fn grad_bits(net: &mut reveil_nn::Network) -> Vec<u32> {
+    let mut bits = Vec::new();
+    net.visit_params(&mut |p| bits.extend(p.grad().data().iter().map(|v| v.to_bits())));
+    bits
 }
 
 #[test]

@@ -31,7 +31,7 @@ pub mod render;
 
 pub use error::ExplainError;
 
-use reveil_nn::{Mode, Network};
+use reveil_nn::{Grads, Mode, Network};
 use reveil_tensor::Tensor;
 
 /// A GradCAM attention map.
@@ -162,8 +162,7 @@ pub fn grad_cam(
     let logits = network.forward(&batch, Mode::Eval);
     let mut grad_logits = Tensor::zeros(logits.shape());
     grad_logits.data_mut()[class] = 1.0;
-    network.zero_grads();
-    let _ = network.backward_to_input(&grad_logits);
+    let _ = network.backward(&grad_logits, Grads::InputOnly);
 
     let Some(spatial_idx) = network
         .backbone_activations()

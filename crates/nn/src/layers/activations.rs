@@ -10,7 +10,7 @@
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, resize_buffer};
-use crate::{Layer, Mode, Param};
+use crate::{Grads, Layer, Mode, Param};
 
 /// Rectified linear unit, `y = max(x, 0)`.
 #[derive(Debug, Default, Clone)]
@@ -40,11 +40,14 @@ impl Layer for Relu {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Relu");
         }
         check_backward_shape("Relu", self.mask.shape(), grad_output.shape());
+        if !grads.input() {
+            return;
+        }
         resize_buffer(grad_input, grad_output.shape());
         let dst = grad_input.data_mut();
         for ((gi, &m), &g) in dst.iter_mut().zip(self.mask.data()).zip(grad_output.data()) {
@@ -96,11 +99,14 @@ impl Layer for Relu6 {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Relu6");
         }
         check_backward_shape("Relu6", self.mask.shape(), grad_output.shape());
+        if !grads.input() {
+            return;
+        }
         resize_buffer(grad_input, grad_output.shape());
         let dst = grad_input.data_mut();
         for ((gi, &m), &g) in dst.iter_mut().zip(self.mask.data()).zip(grad_output.data()) {
@@ -155,11 +161,14 @@ impl Layer for Silu {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Silu");
         }
         check_backward_shape("Silu", self.saved_input.shape(), grad_output.shape());
+        if !grads.input() {
+            return;
+        }
         resize_buffer(grad_input, grad_output.shape());
         let dst = grad_input.data_mut();
         for ((gi, &x), &g) in dst
@@ -214,11 +223,14 @@ impl Layer for Sigmoid {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Sigmoid");
         }
         check_backward_shape("Sigmoid", self.saved_output.shape(), grad_output.shape());
+        if !grads.input() {
+            return;
+        }
         resize_buffer(grad_input, grad_output.shape());
         let dst = grad_input.data_mut();
         for ((gi, &y), &g) in dst
@@ -337,12 +349,12 @@ mod tests {
             let mut out = Tensor::default();
             let mut grad = Tensor::default();
             layer.forward_into(&x, Mode::Train, &mut out);
-            layer.backward_into(&g, &mut grad);
+            layer.backward_into(&g, Grads::All, &mut grad);
             let (first_out, first_grad) = (out.clone(), grad.clone());
             let warmed = layer.buffer_capacity();
             for _ in 0..3 {
                 layer.forward_into(&x, Mode::Train, &mut out);
-                layer.backward_into(&g, &mut grad);
+                layer.backward_into(&g, Grads::All, &mut grad);
                 assert_eq!(out, first_out, "{} forward drifted", layer.name());
                 assert_eq!(grad, first_grad, "{} backward drifted", layer.name());
                 assert_eq!(

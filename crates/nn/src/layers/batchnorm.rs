@@ -3,7 +3,7 @@
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, expect_nchw, resize_buffer};
-use crate::{Layer, Mode, NnError, Param};
+use crate::{Grads, Layer, Mode, NnError, Param};
 
 /// Batch normalisation over the channel axis of `[n, c, h, w]` inputs.
 ///
@@ -181,7 +181,7 @@ impl Layer for BatchNorm2d {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("BatchNorm2d");
         }
@@ -194,27 +194,36 @@ impl Layer for BatchNorm2d {
         );
         let plane = h * w;
         let m = (n * plane) as f32;
-        resize_buffer(grad_input, grad_output.shape());
 
-        // dγ and dβ are identical in both modes.
-        self.dgamma.clear();
-        self.dgamma.resize(c, 0.0);
-        self.dbeta.clear();
-        self.dbeta.resize(c, 0.0);
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * plane;
-                for i in base..base + plane {
-                    self.dgamma[ch] += grad_output.data()[i] * self.x_hat.data()[i];
-                    self.dbeta[ch] += grad_output.data()[i];
+        // dγ and dβ are identical in both modes. The parameter gradients
+        // need them, and so does the Train-mode input gradient; an
+        // Eval-mode input-only pass skips the sums.
+        if grads.params() || (self.mode == Mode::Train && grads.input()) {
+            self.dgamma.clear();
+            self.dgamma.resize(c, 0.0);
+            self.dbeta.clear();
+            self.dbeta.resize(c, 0.0);
+            for img in 0..n {
+                for ch in 0..c {
+                    let base = (img * c + ch) * plane;
+                    for i in base..base + plane {
+                        self.dgamma[ch] += grad_output.data()[i] * self.x_hat.data()[i];
+                        self.dbeta[ch] += grad_output.data()[i];
+                    }
                 }
             }
         }
-        for ch in 0..c {
-            self.gamma.grad_mut().data_mut()[ch] += self.dgamma[ch];
-            self.beta.grad_mut().data_mut()[ch] += self.dbeta[ch];
+        if grads.params() {
+            for ch in 0..c {
+                self.gamma.grad_mut().data_mut()[ch] += self.dgamma[ch];
+                self.beta.grad_mut().data_mut()[ch] += self.dbeta[ch];
+            }
+        }
+        if !grads.input() {
+            return;
         }
 
+        resize_buffer(grad_input, grad_output.shape());
         let gamma = self.gamma.value().data();
         match self.mode {
             Mode::Train => {

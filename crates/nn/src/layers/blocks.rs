@@ -10,6 +10,10 @@
 //! ReLU masks, gate activations and their gradients) lives in a reusable
 //! per-block buffer, so block forward/backward passes allocate nothing
 //! once warmed up.
+//!
+//! A block's children always compute their input gradients, because the
+//! block combines them into its own; only the parameter part of the
+//! caller's [`Grads`] selector passes through ([`Grads::with_input`]).
 
 use rand::rngs::StdRng;
 
@@ -19,7 +23,7 @@ use crate::layers::{
     backward_before_forward, check_backward_shape, expect_nchw, resize_buffer, BatchNorm2d, Conv2d,
     DepthwiseConv2d, GlobalAvgPool, Linear, Relu, Relu6, Sigmoid, Silu,
 };
-use crate::{Layer, Mode, NnError, Param, Sequential};
+use crate::{Grads, Layer, Mode, NnError, Param, Sequential};
 
 /// ResNet basic block: `y = relu(main(x) + shortcut(x))`.
 ///
@@ -114,7 +118,7 @@ impl Layer for ResidualBlock {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("ResidualBlock");
         }
@@ -129,10 +133,12 @@ impl Layer for ResidualBlock {
         {
             *d = g * m;
         }
-        self.main.backward_into(&self.gated, &mut self.dx_main);
+        let child = grads.with_input();
+        self.main
+            .backward_into(&self.gated, child, &mut self.dx_main);
         match &mut self.shortcut {
             Some(s) => {
-                s.backward_into(&self.gated, grad_input);
+                s.backward_into(&self.gated, child, grad_input);
                 // f32 addition is commutative and exact either way, so
                 // accumulating the main-path gradient onto the shortcut's
                 // matches the old `dx_main + dx_shortcut` bit for bit.
@@ -286,7 +292,7 @@ impl Layer for SqueezeExcite {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("SqueezeExcite");
         }
@@ -323,11 +329,12 @@ impl Layer for SqueezeExcite {
         }
 
         // Chain through sigmoid → fc2 → silu → fc1 → gap back to the input.
-        self.sig.backward_into(&self.dscale, &mut self.ga);
-        self.fc2.backward_into(&self.ga, &mut self.gb);
-        self.act.backward_into(&self.gb, &mut self.ga);
-        self.fc1.backward_into(&self.ga, &mut self.gb);
-        self.gap.backward_into(&self.gb, &mut self.ga);
+        let child = grads.with_input();
+        self.sig.backward_into(&self.dscale, child, &mut self.ga);
+        self.fc2.backward_into(&self.ga, child, &mut self.gb);
+        self.act.backward_into(&self.gb, child, &mut self.ga);
+        self.fc1.backward_into(&self.ga, child, &mut self.gb);
+        self.gap.backward_into(&self.gb, child, &mut self.ga);
         for (o, &v) in grad_input.data_mut().iter_mut().zip(self.ga.data()) {
             *o += v;
         }
@@ -495,8 +502,9 @@ impl Layer for InvertedResidual {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.body.backward_into(grad_output, grad_input);
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
+        self.body
+            .backward_into(grad_output, grads.with_input(), grad_input);
         if self.use_res {
             debug_assert_eq!(grad_input.shape(), grad_output.shape());
             for (o, &g) in grad_input.data_mut().iter_mut().zip(grad_output.data()) {
@@ -680,13 +688,13 @@ mod tests {
             let mut dx = Tensor::default();
             block.forward_into(&x, Mode::Eval, &mut out);
             let g = Tensor::from_fn(out.shape(), |i| ((i * 7 % 5) as f32 - 2.0) * 0.1);
-            block.backward_into(&g, &mut dx);
+            block.backward_into(&g, Grads::All, &mut dx);
             let (first_out, first_dx) = (out.clone(), dx.clone());
             let warmed = block.buffer_capacity();
             assert!(warmed > 0, "{} must report its buffers", block.name());
             for _ in 0..3 {
                 block.forward_into(&x, Mode::Eval, &mut out);
-                block.backward_into(&g, &mut dx);
+                block.backward_into(&g, Grads::All, &mut dx);
                 assert_eq!(out, first_out, "{} forward drifted", block.name());
                 assert_eq!(dx, first_dx, "{} backward drifted", block.name());
                 assert_eq!(

@@ -7,7 +7,9 @@
 //! and backward hot loops perform no per-sample heap allocation. The
 //! backward pass recomputes the column matrix instead of caching it,
 //! trading a little compute for a large reduction in peak memory (the
-//! cached tensor per layer is just the input).
+//! cached tensor per layer is just the input); only the weight gradient
+//! reads it, so an input-only backward ([`Grads::InputOnly`]) skips the
+//! recompute along with the weight-gradient products.
 
 use rand::rngs::StdRng;
 
@@ -15,7 +17,7 @@ use reveil_tensor::conv::{col2im_batch_into, im2col_batch_into, ConvGeometry};
 use reveil_tensor::{ops, rng, Tensor};
 
 use crate::layers::{backward_before_forward, check_backward_shape, expect_nchw, resize_buffer};
-use crate::{Layer, Mode, NnError, Param};
+use crate::{Grads, Layer, Mode, NnError, Param};
 
 /// Reusable workspace for the batched convolution lowering.
 ///
@@ -168,7 +170,7 @@ impl Layer for Conv2d {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Conv2d");
         }
@@ -190,29 +192,31 @@ impl Layer for Conv2d {
         let ohw = oh * ow;
         let fan_in = c * self.geom.kh * self.geom.kw;
 
-        // Recompute the batched column matrix (not cached across the pass).
-        im2col_batch_into(input, self.geom, &mut self.scratch.cols)
-            .unwrap_or_else(|e| panic!("{e}"));
-
         // Gather the output gradient into the channel-major [oc, n*ohw]
         // layout the matmuls need.
         resize_buffer(&mut self.scratch.gemm, &[oc, n * ohw]);
         gather_channel_major(grad_output.data(), n, oc, ohw, self.scratch.gemm.data_mut());
 
-        // dW += gy · colsᵀ: one matmul for the whole batch, accumulated
-        // straight into the parameter gradient by the fused GEMM epilogue
-        // (no per-call weight-gradient scratch, no separate axpy pass).
-        debug_assert_eq!(self.weight.grad().shape(), &[oc, fan_in]);
-        ops::matmul_nt_acc_into(
-            &self.scratch.gemm,
-            &self.scratch.cols,
-            1.0,
-            self.weight.grad_mut(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        if grads.params() {
+            // Recompute the batched column matrix (not cached across the
+            // pass; only the weight gradient reads it).
+            im2col_batch_into(input, self.geom, &mut self.scratch.cols)
+                .unwrap_or_else(|e| panic!("{e}"));
 
-        // db += row sums of gy.
-        {
+            // dW += gy · colsᵀ: one matmul for the whole batch, accumulated
+            // straight into the parameter gradient by the fused GEMM
+            // epilogue (no per-call weight-gradient scratch, no separate
+            // axpy pass).
+            debug_assert_eq!(self.weight.grad().shape(), &[oc, fan_in]);
+            ops::matmul_nt_acc_into(
+                &self.scratch.gemm,
+                &self.scratch.cols,
+                1.0,
+                self.weight.grad_mut(),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+
+            // db += row sums of gy.
             let gy = self.scratch.gemm.data();
             let db = self.bias.grad_mut().data_mut();
             for ch in 0..oc {
@@ -220,16 +224,18 @@ impl Layer for Conv2d {
             }
         }
 
-        // dcols = Wᵀ · gy, scattered back to input space batched.
-        resize_buffer(&mut self.scratch.dcols, &[fan_in, n * ohw]);
-        ops::matmul_tn_into(
-            self.weight.value(),
-            &self.scratch.gemm,
-            &mut self.scratch.dcols,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
+        if grads.input() {
+            // dcols = Wᵀ · gy, scattered back to input space batched.
+            resize_buffer(&mut self.scratch.dcols, &[fan_in, n * ohw]);
+            ops::matmul_tn_into(
+                self.weight.value(),
+                &self.scratch.gemm,
+                &mut self.scratch.dcols,
+            )
             .unwrap_or_else(|e| panic!("{e}"));
+            col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -346,7 +352,7 @@ impl Layer for DepthwiseConv2d {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("DepthwiseConv2d");
         }
@@ -362,16 +368,17 @@ impl Layer for DepthwiseConv2d {
         let k2 = self.geom.kh * self.geom.kw;
         let ohw = oh * ow;
 
-        im2col_batch_into(input, self.geom, &mut self.scratch.cols)
-            .unwrap_or_else(|e| panic!("{e}"));
-
         // Gather the output gradient into channel-major [c, n*ohw] rows.
         resize_buffer(&mut self.scratch.gemm, &[c, n * ohw]);
         gather_channel_major(grad_output.data(), n, c, ohw, self.scratch.gemm.data_mut());
 
-        // dW[ch][t] += <gy[ch], cols[ch*k2+t]>, db[ch] += Σ gy[ch]: straight
-        // dot products over contiguous rows.
-        {
+        if grads.params() {
+            // Only the weight gradient reads the recomputed column matrix.
+            im2col_batch_into(input, self.geom, &mut self.scratch.cols)
+                .unwrap_or_else(|e| panic!("{e}"));
+
+            // dW[ch][t] += <gy[ch], cols[ch*k2+t]>, db[ch] += Σ gy[ch]:
+            // straight dot products over contiguous rows.
             let cols = self.scratch.cols.data();
             let gy = self.scratch.gemm.data();
             let dw = self.weight.grad_mut().data_mut();
@@ -388,9 +395,9 @@ impl Layer for DepthwiseConv2d {
             }
         }
 
-        // dcols[ch*k2+t] = w[ch][t] * gy[ch], scattered back batched.
-        resize_buffer(&mut self.scratch.dcols, &[c * k2, n * ohw]);
-        {
+        if grads.input() {
+            // dcols[ch*k2+t] = w[ch][t] * gy[ch], scattered back batched.
+            resize_buffer(&mut self.scratch.dcols, &[c * k2, n * ohw]);
             let gy = self.scratch.gemm.data();
             let weight = self.weight.value().data();
             let dcols = self.scratch.dcols.data_mut();
@@ -402,9 +409,9 @@ impl Layer for DepthwiseConv2d {
                     *o = wv * v;
                 }
             }
+            col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
+                .unwrap_or_else(|e| panic!("{e}"));
         }
-        col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn buffer_capacity(&self) -> usize {

@@ -3,7 +3,7 @@
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, resize_buffer};
-use crate::{Layer, Mode, Param};
+use crate::{Grads, Layer, Mode, Param};
 
 /// Reshapes `[n, c, h, w]` (or any rank ≥ 2) to `[n, c*h*w]`.
 #[derive(Debug, Default, Clone)]
@@ -35,13 +35,16 @@ impl Layer for Flatten {
         out.data_mut().copy_from_slice(input.data());
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Flatten");
         }
         let n = self.input_shape[0];
         let rest: usize = self.input_shape[1..].iter().product();
         check_backward_shape("Flatten", &[n, rest], grad_output.shape());
+        if !grads.input() {
+            return;
+        }
         resize_buffer(grad_input, &self.input_shape);
         grad_input.data_mut().copy_from_slice(grad_output.data());
     }

@@ -3,8 +3,10 @@
 //! Every layer implements the object-safe [`Layer`](crate::Layer) trait:
 //! `forward` caches what `backward` needs, `backward` returns the gradient
 //! with respect to the layer input and accumulates parameter gradients.
-//! Gradient correctness of each layer is checked against finite differences
-//! in its unit tests.
+//! Each layer has one backward body whose parameter-gradient and
+//! input-gradient sections are gated by the caller's
+//! [`Grads`](crate::Grads) selector. Gradient correctness of each layer is
+//! checked against finite differences in its unit tests.
 
 mod activations;
 mod batchnorm;

@@ -3,7 +3,7 @@
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, expect_nchw, resize_buffer};
-use crate::{Layer, Mode, NnError, Param};
+use crate::{Grads, Layer, Mode, NnError, Param};
 
 /// Max pooling over non-overlapping square windows.
 #[derive(Debug, Clone)]
@@ -82,7 +82,7 @@ impl Layer for MaxPool2d {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("MaxPool2d");
         }
@@ -94,6 +94,9 @@ impl Layer for MaxPool2d {
             grad_output.len(),
             self.argmax.len()
         );
+        if !grads.input() {
+            return;
+        }
         resize_buffer(grad_input, &self.input_shape);
         grad_input.fill_zero();
         let gi = grad_input.data_mut();
@@ -151,7 +154,7 @@ impl Layer for GlobalAvgPool {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("GlobalAvgPool");
         }
@@ -162,6 +165,9 @@ impl Layer for GlobalAvgPool {
             self.input_shape[3],
         );
         check_backward_shape("GlobalAvgPool", &[n, c], grad_output.shape());
+        if !grads.input() {
+            return;
+        }
         let inv = 1.0 / (h * w) as f32;
         resize_buffer(grad_input, &self.input_shape);
         let gi = grad_input.data_mut();

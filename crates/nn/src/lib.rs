@@ -6,7 +6,9 @@
 //! GradCAM/Beatrix read intermediate activations. This crate therefore
 //! implements layer-level reverse-mode differentiation where every layer can
 //! return the gradient with respect to its input, and [`Sequential`] can
-//! record per-layer activations and boundary gradients.
+//! record per-layer activations and boundary gradients. A [`Grads`]
+//! selector on every backward pass computes only what the caller reads:
+//! parameter gradients for training, the input gradient for the defenses.
 //!
 //! Contents:
 //!
@@ -72,11 +74,55 @@ pub enum Mode {
     Eval,
 }
 
+/// Which gradients a backward pass computes.
+///
+/// Every backward caller reads a subset of what reverse-mode
+/// differentiation can produce: training reads only parameter gradients,
+/// Neural Cleanse and GradCAM read only the input gradient (and boundary
+/// gradients on the way). The selector lets each layer skip the work
+/// nobody reads — the `dW` GEMMs, the im2col recompute only `dW` needs and
+/// the batch-norm `dγ/dβ` sums under [`Grads::InputOnly`], the input
+/// gradient of the first layer under [`Grads::ParamsOnly`] — while every
+/// gradient it does compute stays bit-identical to [`Grads::All`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grads {
+    /// The input gradient and every parameter gradient.
+    All,
+    /// The input gradient only; parameter gradients are left untouched.
+    InputOnly,
+    /// Parameter gradients only; the input gradient is unspecified.
+    ParamsOnly,
+}
+
+impl Grads {
+    /// Whether parameter gradients are accumulated.
+    pub fn params(self) -> bool {
+        self != Grads::InputOnly
+    }
+
+    /// Whether the input gradient is computed.
+    pub fn input(self) -> bool {
+        self != Grads::ParamsOnly
+    }
+
+    /// The selector for a layer whose input gradient feeds another layer
+    /// (every container child but the first): the input gradient is always
+    /// wanted, and the parameter part passes through.
+    pub fn with_input(self) -> Self {
+        if self.params() {
+            Grads::All
+        } else {
+            Grads::InputOnly
+        }
+    }
+}
+
 /// A differentiable network layer.
 ///
 /// Layers cache whatever they need during [`Layer::forward_into`] so that
 /// the next [`Layer::backward_into`] call can produce the gradient with
-/// respect to the layer input and accumulate parameter gradients.
+/// respect to the layer input and accumulate parameter gradients, as
+/// selected by its [`Grads`] argument.
 ///
 /// # Buffer-reuse contract
 ///
@@ -115,8 +161,21 @@ pub trait Layer: Send {
     );
 
     /// Propagates `grad_output` (gradient w.r.t. the last forward output)
-    /// back to the layer input into `grad_input` (reusing its allocation),
-    /// accumulating parameter gradients.
+    /// back through the layer, computing the gradients `grads` selects:
+    ///
+    /// * [`Grads::All`] writes the input gradient into `grad_input`
+    ///   (reusing its allocation) and accumulates every parameter
+    ///   gradient;
+    /// * [`Grads::InputOnly`] writes the same input gradient, bit for bit,
+    ///   and leaves every parameter gradient untouched, so callers need no
+    ///   `zero_grads` before it;
+    /// * [`Grads::ParamsOnly`] accumulates the same parameter gradients,
+    ///   bit for bit; the contents and shape of `grad_input` are then
+    ///   unspecified.
+    ///
+    /// Containers give their first child the caller's selector and every
+    /// later child [`Grads::with_input`], since those input gradients feed
+    /// the layer before.
     ///
     /// # Panics
     ///
@@ -125,6 +184,7 @@ pub trait Layer: Send {
     fn backward_into(
         &mut self,
         grad_output: &reveil_tensor::Tensor,
+        grads: Grads,
         grad_input: &mut reveil_tensor::Tensor,
     );
 
@@ -140,15 +200,15 @@ pub trait Layer: Send {
         out
     }
 
-    /// Allocating wrapper over [`Layer::backward_into`]: returns the input
-    /// gradient as a fresh tensor.
+    /// Allocating wrapper over [`Layer::backward_into`] with
+    /// [`Grads::All`]: returns the input gradient as a fresh tensor.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Layer::backward_into`].
     fn backward(&mut self, grad_output: &reveil_tensor::Tensor) -> reveil_tensor::Tensor {
         let mut grad_input = reveil_tensor::Tensor::default();
-        self.backward_into(grad_output, &mut grad_input);
+        self.backward_into(grad_output, Grads::All, &mut grad_input);
         grad_input
     }
 

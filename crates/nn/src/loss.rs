@@ -9,7 +9,7 @@ use crate::NnError;
 ///
 /// `logits` has shape `[n, classes]`; `labels` holds `n` class indices. The
 /// returned gradient is `(softmax(logits) − onehot(labels)) / n`, ready to
-/// feed into `Network::backward_to_input`.
+/// feed into `Network::backward`.
 ///
 /// # Errors
 ///

@@ -262,7 +262,7 @@ pub fn wide_resnet_tiny(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
+    use crate::{Grads, Mode};
     use reveil_tensor::Tensor;
 
     const FAMILIES: [ModelFamily; 6] = [
@@ -291,7 +291,7 @@ mod tests {
             let x = Tensor::from_fn(&[2, 3, 8, 8], |i| (i % 7) as f32 * 0.1);
             let logits = net.forward(&x, Mode::Train);
             net.zero_grads();
-            let dx = net.backward_to_input(&Tensor::ones(logits.shape()));
+            let dx = net.backward(&Tensor::ones(logits.shape()), Grads::All);
             assert_eq!(dx.shape(), x.shape(), "family {}", family.label());
             assert!(
                 dx.data().iter().any(|&v| v != 0.0),

@@ -2,17 +2,19 @@
 
 use reveil_tensor::Tensor;
 
-use crate::{Layer, Mode, NnError, Param, Sequential};
+use crate::{Grads, Layer, Mode, NnError, Param, Sequential};
 
 /// A classifier split into a feature-extracting `backbone` (ending in global
 /// pooling, output `[n, d]`) and a classification `head` (output
 /// `[n, classes]`).
 ///
 /// The split exists because the paper's defenses consume different cuts of
-/// the model: Beatrix needs penultimate features ([`Network::features`]),
-/// GradCAM needs recorded spatial activations
-/// ([`Network::set_recording`] + [`Network::backbone_activations`]), and
-/// Neural Cleanse needs input gradients ([`Network::backward_to_input`]).
+/// the model: Beatrix reads penultimate features
+/// ([`Network::features_into`]) and the backbone's interior activations
+/// ([`Network::backbone_boundary_outputs`]), GradCAM pairs recorded spatial
+/// activations with their gradients ([`Network::set_recording`] +
+/// [`Network::backbone_boundary_grads`]), and Neural Cleanse needs only
+/// input gradients ([`Network::backward_into`] with [`Grads::InputOnly`]).
 pub struct Network {
     backbone: Sequential,
     head: Sequential,
@@ -81,7 +83,7 @@ impl Network {
 
     /// Full forward pass into a caller-provided logits tensor, reusing its
     /// allocation and the network's internal feature buffer — together with
-    /// [`Network::backward_to_input_into`] this is the zero-allocation
+    /// [`Network::backward_into`] this is the zero-allocation
     /// training-step path (see the [`Layer`] buffer-reuse contract).
     pub fn forward_into(&mut self, input: &Tensor, mode: Mode, logits: &mut Tensor) {
         self.backbone
@@ -119,22 +121,26 @@ impl Network {
         self.head.forward(features, mode)
     }
 
-    /// Backward pass from a logits gradient all the way to the input,
-    /// accumulating parameter gradients along the way.
-    pub fn backward_to_input(&mut self, grad_logits: &Tensor) -> Tensor {
+    /// Backward pass from a logits gradient, computing the gradients
+    /// `grads` selects (see [`Layer::backward_into`]); returns the input
+    /// gradient as a fresh tensor (unspecified under
+    /// [`Grads::ParamsOnly`]).
+    pub fn backward(&mut self, grad_logits: &Tensor, grads: Grads) -> Tensor {
         let mut grad_input = Tensor::default();
-        self.backward_to_input_into(grad_logits, &mut grad_input);
+        self.backward_into(grad_logits, grads, &mut grad_input);
         grad_input
     }
 
     /// Backward pass into a caller-provided input-gradient tensor, reusing
     /// its allocation and the network's internal feature-gradient buffer
-    /// (the zero-allocation counterpart of [`Network::backward_to_input`]).
-    pub fn backward_to_input_into(&mut self, grad_logits: &Tensor, grad_input: &mut Tensor) {
+    /// (the zero-allocation counterpart of [`Network::backward`]). The
+    /// backbone gets the caller's selector; the head always computes its
+    /// input gradient, because the backbone consumes it.
+    pub fn backward_into(&mut self, grad_logits: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         self.head
-            .backward_into(grad_logits, &mut self.grad_features_buf);
+            .backward_into(grad_logits, grads.with_input(), &mut self.grad_features_buf);
         self.backbone
-            .backward_into(&self.grad_features_buf, grad_input);
+            .backward_into(&self.grad_features_buf, grads, grad_input);
     }
 
     /// Total capacity in scalars of every reusable buffer in the network
@@ -318,7 +324,7 @@ mod tests {
         let x = Tensor::ones(&[2, 3, 2, 2]);
         let logits = net.forward(&x, Mode::Train);
         net.zero_grads();
-        let dx = net.backward_to_input(&Tensor::ones(logits.shape()));
+        let dx = net.backward(&Tensor::ones(logits.shape()), Grads::All);
         assert_eq!(dx.shape(), x.shape());
         // At least one parameter gradient must be non-zero.
         let mut any_nonzero = false;

@@ -246,7 +246,7 @@ mod tests {
     use super::*;
     use crate::layers::{Flatten, Linear};
     use crate::loss::softmax_cross_entropy;
-    use crate::{Mode, Sequential};
+    use crate::{Grads, Mode, Sequential};
     use reveil_tensor::rng;
 
     fn tiny_net() -> Network {
@@ -265,7 +265,7 @@ mod tests {
         let logits = net.forward(x, Mode::Train);
         let (loss, grad) = softmax_cross_entropy(&logits, labels).unwrap();
         net.zero_grads();
-        net.backward_to_input(&grad);
+        net.backward(&grad, Grads::ParamsOnly);
         opt.step(net);
         loss
     }

@@ -3,7 +3,7 @@
 use reveil_tensor::Tensor;
 
 use crate::layers::resize_buffer;
-use crate::{Layer, Mode, Param};
+use crate::{Grads, Layer, Mode, Param};
 
 /// A chain of layers applied in order.
 ///
@@ -146,7 +146,7 @@ impl Layer for Sequential {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Grads, grad_input: &mut Tensor) {
         if self.record {
             self.boundary_grads.clear();
             self.boundary_grads
@@ -170,7 +170,10 @@ impl Layer for Sequential {
             if self.record {
                 self.boundary_grads[i] = src.clone();
             }
-            self.layers[i].backward_into(src, dst);
+            // Only layer 0's input gradient leaves the chain; every later
+            // layer's feeds the layer before it.
+            let layer_grads = if i == 0 { grads } else { grads.with_input() };
+            self.layers[i].backward_into(src, layer_grads, dst);
         }
     }
 
@@ -302,11 +305,11 @@ mod tests {
         let mut dx = Tensor::default();
         net.forward_into(&x, Mode::Train, &mut out);
         let g = Tensor::ones(out.shape());
-        net.backward_into(&g, &mut dx);
+        net.backward_into(&g, Grads::All, &mut dx);
         let warmed = net.buffer_capacity();
         for _ in 0..3 {
             net.forward_into(&x, Mode::Train, &mut out);
-            net.backward_into(&g, &mut dx);
+            net.backward_into(&g, Grads::All, &mut dx);
             assert_eq!(net.buffer_capacity(), warmed);
         }
     }

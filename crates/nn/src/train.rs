@@ -3,8 +3,11 @@
 //! The hot path is [`TrainStep`]: one forward → loss → backward →
 //! optimizer step through the pooled-buffer substrate
 //! ([`Network::forward_into`], [`crate::loss::softmax_cross_entropy_into`],
-//! [`Network::backward_to_input_into`] and the fused optimizer sweeps), so
-//! a warmed-up step performs **zero heap allocations**. [`Trainer`] drives
+//! [`Network::backward_into`] and the fused optimizer sweeps), so a
+//! warmed-up step performs **zero heap allocations**. The backward pass
+//! asks for [`Grads::ParamsOnly`]: training reads only parameter
+//! gradients, so the first layer's input gradient is never computed.
+//! [`Trainer`] drives
 //! `TrainStep` over shuffled mini-batches with every per-epoch buffer
 //! (batch gather, labels, shuffle order) reused across iterations.
 
@@ -12,7 +15,7 @@ use reveil_tensor::{ops, rng, Tensor};
 
 use crate::loss::softmax_cross_entropy_into;
 use crate::optim::{Adam, CosineAnnealing, Optimizer};
-use crate::{Mode, Network, NnError};
+use crate::{Grads, Mode, Network, NnError};
 
 /// Learning-rate schedule selection for [`TrainConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,8 +122,8 @@ impl TrainConfig {
 /// the optimizer state are likewise reused (see the [`crate::Layer`]
 /// buffer-reuse contract). Results are bit-identical to driving the
 /// allocating wrappers ([`Network::forward`] /
-/// [`crate::loss::softmax_cross_entropy`] / [`Network::backward_to_input`])
-/// by hand.
+/// [`crate::loss::softmax_cross_entropy`] / [`Network::backward`]) by
+/// hand.
 ///
 /// # Example
 ///
@@ -143,6 +146,8 @@ impl TrainConfig {
 pub struct TrainStep {
     logits: Tensor,
     grad_logits: Tensor,
+    /// Sink for the input gradient the parameter-only backward leaves
+    /// unspecified; a first layer that skips it never resizes this.
     grad_input: Tensor,
 }
 
@@ -172,7 +177,7 @@ impl TrainStep {
         network.forward_into(batch, Mode::Train, &mut self.logits);
         let loss = softmax_cross_entropy_into(&self.logits, labels, &mut self.grad_logits)?;
         network.zero_grads();
-        network.backward_to_input_into(&self.grad_logits, &mut self.grad_input);
+        network.backward_into(&self.grad_logits, Grads::ParamsOnly, &mut self.grad_input);
         optimizer.step(network);
         Ok(loss)
     }

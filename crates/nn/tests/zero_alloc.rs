@@ -7,10 +7,10 @@
 //! `REVEIL_THREADS`.
 //!
 //! Alongside the strict allocator count, this file pins:
-//! * bit-identity of the pooled-buffer path (`TrainStep`) against the
-//!   allocate-per-call wrappers (`Network::forward` /
-//!   `softmax_cross_entropy` / `Network::backward_to_input`) over a full
-//!   fixed-seed training run, and
+//! * bit-identity of the pooled-buffer path (`TrainStep`, parameter-only
+//!   backward) against the allocate-per-call wrappers (`Network::forward` /
+//!   `softmax_cross_entropy` / `Network::backward` with every gradient)
+//!   over a full fixed-seed training run, and
 //! * capacity stability: a second epoch grows no buffer (mirroring the
 //!   scratch-reuse tests in `crates/tensor`).
 
@@ -25,7 +25,7 @@ use reveil_nn::layers::{
 use reveil_nn::loss::softmax_cross_entropy;
 use reveil_nn::optim::{Adam, Optimizer, Sgd};
 use reveil_nn::train::{TrainConfig, TrainStep, Trainer};
-use reveil_nn::{Mode, Network, Sequential};
+use reveil_nn::{Grads, Mode, Network, Sequential};
 use reveil_tensor::{rng, Tensor};
 
 struct CountingAllocator;
@@ -160,7 +160,7 @@ fn pooled_step_is_bit_identical_to_allocate_per_call_training() {
             let logits = alloc_net.forward(&batch, Mode::Train);
             let (_, grad) = softmax_cross_entropy(&logits, &batch_labels).expect("loss");
             alloc_net.zero_grads();
-            alloc_net.backward_to_input(&grad);
+            alloc_net.backward(&grad, Grads::All);
             alloc_opt.step(&mut alloc_net);
         }
     }

@@ -238,7 +238,6 @@ impl SisaEnsemble {
         members: Vec<usize>,
     ) -> Result<Shard, UnlearnError> {
         let init_seed = rng::derive_seed(self.config.seed, 0x5EED_0000 | shard_id);
-        let mut model = (self.factory)(init_seed);
         let slice_ends = Self::slice_ends(members.len(), self.config.num_slices);
         let mut shard = Shard {
             model: (self.factory)(init_seed),
@@ -247,9 +246,6 @@ impl SisaEnsemble {
             checkpoints: Vec::new(),
             init_seed,
         };
-        // `model` above was only used to exercise the factory eagerly; the
-        // real training happens on shard.model via the shared path.
-        model.zero_grads();
         self.retrain_shard_from(&mut shard, 0, shard_id)?;
         Ok(shard)
     }
